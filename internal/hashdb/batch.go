@@ -106,7 +106,7 @@ func (db *DB) GetBatch(ctx context.Context, fps []fingerprint.Fingerprint) ([]Va
 // getChain walks one bucket chain, resolving every probe index in idxs.
 // Each chain page is read exactly once and scanned for all still-missing
 // fingerprints of the group. Probes a concurrent split remapped away from
-// bucket are returned in stale for the caller to retry.
+// bucket are returned in stale for the caller to retry. idxs is scratch.
 func (db *DB) getChain(ctx context.Context, bucket uint64, idxs []int, fps []fingerprint.Fingerprint, vals []Value, found []bool) (stale []int, err error) {
 	st := db.stripeOf(bucket)
 	st.mu.RLock()
@@ -114,25 +114,18 @@ func (db *DB) getChain(ctx context.Context, bucket uint64, idxs []int, fps []fin
 	if db.closed {
 		return nil, ErrClosed
 	}
-	live := idxs
-	if db.resizable {
-		live = make([]int, 0, len(idxs))
-		for _, idx := range idxs {
-			if db.bucketOf(fps[idx]) == bucket {
-				live = append(live, idx)
-			} else {
-				stale = append(stale, idx)
-			}
-		}
-		if len(live) == 0 {
-			return stale, nil
+	remaining := idxs[:0]
+	for _, idx := range idxs {
+		if db.resizable && db.bucketOf(fps[idx]) != bucket {
+			stale = append(stale, idx)
+		} else {
+			remaining = append(remaining, idx)
 		}
 	}
 	done := ctx.Done()
 	page := getPage()
 	defer putPage(page)
-	remaining := len(live)
-	for p := db.bucketPageOf(bucket); p != 0 && remaining > 0; {
+	for p := db.bucketPageOf(bucket); p != 0 && len(remaining) > 0; {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
 				return stale, err
@@ -142,16 +135,15 @@ func (db *DB) getChain(ctx context.Context, bucket uint64, idxs []int, fps []fin
 			return stale, err
 		}
 		n := pageCount(page)
-		for i := 0; i < n && remaining > 0; i++ {
-			efp, v := entryAt(page, i)
-			for _, idx := range live {
-				if !found[idx] && fps[idx] == efp {
-					vals[idx] = v
-					found[idx] = true
-					remaining--
-				}
+		kept := remaining[:0]
+		for _, idx := range remaining {
+			if i := findSlot(page, 0, n, &fps[idx]); i >= 0 {
+				vals[idx], found[idx] = valueAt(page, i), true
+			} else {
+				kept = append(kept, idx)
 			}
 		}
+		remaining = kept
 		p = pageNext(page)
 	}
 	return stale, nil

@@ -688,6 +688,38 @@ func setEntryAt(page []byte, i int, fp fingerprint.Fingerprint, v Value) {
 	binary.BigEndian.PutUint64(page[off+fingerprint.Size:off+entrySize], uint64(v))
 }
 
+// keyAt reads slot i's Prefix64 key straight from the page bytes.
+func keyAt(page []byte, i int) uint64 {
+	off := pageHdrSize + i*entrySize
+	return binary.BigEndian.Uint64(page[off : off+8])
+}
+
+// fpEqualAt reports whether slot i holds fp, comparing all 20 bytes in
+// place without copying the slot out of the page.
+func fpEqualAt(page []byte, i int, fp *fingerprint.Fingerprint) bool {
+	off := pageHdrSize + i*entrySize
+	return string(page[off:off+fingerprint.Size]) == string(fp[:])
+}
+
+func valueAt(page []byte, i int) Value {
+	off := pageHdrSize + i*entrySize + fingerprint.Size
+	return Value(binary.BigEndian.Uint64(page[off : off+8]))
+}
+
+// findSlot returns the slot in [from, to) holding fp, or -1. Every search
+// of a chain for a fingerprint goes through it: slots are matched on their
+// prefix key, and only a key match is confirmed against the full
+// fingerprint (keys can collide; fingerprints cannot).
+func findSlot(page []byte, from, to int, fp *fingerprint.Fingerprint) int {
+	key := fp.Prefix64()
+	for i := from; i < to; i++ {
+		if keyAt(page, i) == key && fpEqualAt(page, i, fp) {
+			return i
+		}
+	}
+	return -1
+}
+
 // Get returns the value stored for fp.
 func (db *DB) Get(fp fingerprint.Fingerprint) (Value, bool, error) {
 	b, st := db.rlockBucket(fp.Prefix64())
@@ -701,12 +733,8 @@ func (db *DB) Get(fp fingerprint.Fingerprint) (Value, bool, error) {
 		if err := db.readPage(p, page); err != nil {
 			return 0, false, err
 		}
-		n := pageCount(page)
-		for i := 0; i < n; i++ {
-			efp, v := entryAt(page, i)
-			if efp == fp {
-				return v, true, nil
-			}
+		if i := findSlot(page, 0, pageCount(page), &fp); i >= 0 {
+			return valueAt(page, i), true, nil
 		}
 		p = pageNext(page)
 	}
@@ -719,9 +747,6 @@ func (db *DB) Has(fp fingerprint.Fingerprint) (bool, error) {
 	return ok, err
 }
 
-// oneIdx is the index group of a single-pair chain walk (Put).
-var oneIdx = []int{0}
-
 // Put stores fp -> v, overwriting any previous value. It reports whether a
 // new entry was created (false means an existing entry was updated). Put is
 // the single-pair case of the batched chain walk (putChain): one read and
@@ -730,7 +755,8 @@ func (db *DB) Put(fp fingerprint.Fingerprint, v Value) (bool, error) {
 	pairs := [1]Pair{{FP: fp, Val: v}}
 	var created [1]bool
 	for {
-		_, stale, err := db.putChain(context.Background(), db.bucketOf(fp), oneIdx, pairs[:], created[:])
+		idxs := [1]int{0}
+		_, stale, err := db.putChain(context.Background(), db.bucketOf(fp), idxs[:], pairs[:], created[:])
 		if err != nil {
 			return created[0], err
 		}
@@ -764,11 +790,7 @@ func (db *DB) Delete(fp fingerprint.Fingerprint) (bool, error) {
 		}
 		n := pageCount(page)
 		next := pageNext(page)
-		for i := 0; i < n; i++ {
-			efp, _ := entryAt(page, i)
-			if efp != fp {
-				continue
-			}
+		if i := findSlot(page, 0, n, &fp); i >= 0 {
 			if err := db.markDirty(); err != nil {
 				return false, err
 			}

@@ -96,10 +96,12 @@ func (db *DB) PutBatch(ctx context.Context, pairs []Pair) ([]bool, int, error) {
 
 // chainPage is one page of a bucket chain held in memory during a batched
 // read-modify-write. no == 0 marks a fresh overflow page whose file
-// position has not been allocated yet.
+// position has not been allocated yet. Slots from read on were appended
+// by this read-modify-write (read is 0 on a fresh page).
 type chainPage struct {
 	no    uint64
 	buf   []byte
+	read  int
 	dirty bool
 }
 
@@ -114,7 +116,9 @@ type chainPage struct {
 // bucket is a bucket index; pairs a concurrent split remapped away from it
 // since the caller grouped them are returned in stale for the caller to
 // retry (the mapping is stable under the stripe lock, so the filter is
-// authoritative). Returns the number of page writes issued.
+// authoritative). idxs is the caller's group and is used as scratch:
+// putChain compacts it in place, keeping input order. Returns the number
+// of page writes issued.
 func (db *DB) putChain(ctx context.Context, bucket uint64, idxs []int, pairs []Pair, created []bool) (writes int, stale []int, err error) {
 	st := db.stripeOf(bucket)
 	st.mu.Lock()
@@ -122,25 +126,24 @@ func (db *DB) putChain(ctx context.Context, bucket uint64, idxs []int, pairs []P
 	if db.closed {
 		return 0, nil, ErrClosed
 	}
-	live := idxs
-	if db.resizable {
-		live = make([]int, 0, len(idxs))
-		for _, idx := range idxs {
-			if db.bucketOf(pairs[idx].FP) == bucket {
-				live = append(live, idx)
-			} else {
-				stale = append(stale, idx)
-			}
+	remaining := idxs[:0]
+	for _, idx := range idxs {
+		if db.resizable && db.bucketOf(pairs[idx].FP) != bucket {
+			stale = append(stale, idx)
+		} else {
+			remaining = append(remaining, idx)
 		}
-		if len(live) == 0 {
-			return 0, stale, nil
-		}
+	}
+	if len(remaining) == 0 {
+		return 0, stale, nil
 	}
 	if err := db.markDirty(); err != nil {
 		return 0, stale, err
 	}
 
-	var chain []chainPage
+	// Most chains are a page or two long: keep their headers on the stack.
+	var short [4]chainPage
+	chain := short[:0]
 	defer func() {
 		for i := range chain {
 			putPage(chain[i].buf)
@@ -153,7 +156,6 @@ func (db *DB) putChain(ctx context.Context, bucket uint64, idxs []int, pairs []P
 	// so a resolved pair cannot also live on an unread page. Appends need
 	// the whole chain (free-slot search + tail link), so reading
 	// continues while any pair is unresolved.
-	remaining := append(make([]int, 0, len(live)), live...)
 	done := ctx.Done()
 	for p := db.bucketPageOf(bucket); p != 0 && len(remaining) > 0; {
 		if done != nil {
@@ -166,58 +168,59 @@ func (db *DB) putChain(ctx context.Context, bucket uint64, idxs []int, pairs []P
 			putPage(buf)
 			return 0, stale, err
 		}
-		//lint:ignore poolescape chain is a function-local staging slice; every chainPage.buf is released by the putPage loop before putBatch returns.
-		chain = append(chain, chainPage{no: p, buf: buf})
-		cp := &chain[len(chain)-1]
 		n := pageCount(buf)
-		for j := 0; j < n && len(remaining) > 0; j++ {
-			efp, _ := entryAt(buf, j)
-			kept := remaining[:0]
-			for _, idx := range remaining {
-				if pairs[idx].FP == efp {
-					// Later duplicates of one fingerprint overwrite in
-					// order; the last value wins, as sequential Puts would.
-					setEntryAt(buf, j, efp, pairs[idx].Val)
-					cp.dirty = true
-					continue
-				}
+		//lint:ignore poolescape chain is a function-local staging slice; every chainPage.buf is released by the putPage loop before putBatch returns.
+		chain = append(chain, chainPage{no: p, buf: buf, read: n})
+		cp := &chain[len(chain)-1]
+		kept := remaining[:0]
+		for _, idx := range remaining {
+			if j := findSlot(buf, 0, n, &pairs[idx].FP); j >= 0 {
+				// Later duplicates of one fingerprint overwrite in
+				// order; the last value wins, as sequential Puts would.
+				setEntryAt(buf, j, pairs[idx].FP, pairs[idx].Val)
+				cp.dirty = true
+			} else {
 				kept = append(kept, idx)
 			}
-			remaining = kept
 		}
+		remaining = kept
 		p = pageNext(buf)
 	}
 	db.observeChain(len(chain))
 
-	// Apply the still-unresolved pairs against the in-memory chain. A
-	// full chain grows by a placeholder page (no=0), so intra-batch
-	// duplicates of a fresh fingerprint are found by the same scan that
-	// finds on-disk entries.
+	// The read loop saw the whole chain, so no on-disk entry matches a
+	// still-unresolved pair; only a slot this call appended can — an
+	// earlier copy of the same fresh fingerprint, which this copy then
+	// updates. Appends fill the first page with a free slot, so pages
+	// before it stay full: the walk checks each page's appended slots
+	// and stops at the first page with room, where the pair is appended.
+	// A full chain grows by a placeholder page (no=0).
 	var createdCount, newPages int
+next:
 	for _, idx := range remaining {
-		fp, val := pairs[idx].FP, pairs[idx].Val
-		if chainUpdate(chain, fp, val) {
-			continue
-		}
-		placed := false
-		for i := range chain {
-			if n := pageCount(chain[i].buf); n < SlotsPerPage {
-				setEntryAt(chain[i].buf, n, fp, val)
-				setPageCount(chain[i].buf, n+1)
-				chain[i].dirty = true
-				placed = true
+		fp, val := &pairs[idx].FP, pairs[idx].Val
+		i, n := 0, 0
+		for ; i < len(chain); i++ {
+			n = pageCount(chain[i].buf)
+			if j := findSlot(chain[i].buf, chain[i].read, n, fp); j >= 0 {
+				setEntryAt(chain[i].buf, j, *fp, val)
+				continue next
+			}
+			if n < SlotsPerPage {
 				break
 			}
 		}
-		if !placed {
+		if i == len(chain) {
 			buf := getPage()
 			clear(buf)
-			setEntryAt(buf, 0, fp, val)
-			setPageCount(buf, 1)
 			//lint:ignore poolescape chain is a function-local staging slice; every chainPage.buf is released by the putPage loop before putBatch returns.
-			chain = append(chain, chainPage{buf: buf, dirty: true})
+			chain = append(chain, chainPage{buf: buf})
 			newPages++
+			n = 0
 		}
+		setEntryAt(chain[i].buf, n, *fp, val)
+		setPageCount(chain[i].buf, n+1)
+		chain[i].dirty = true
 		created[idx] = true
 		createdCount++
 	}
@@ -256,23 +259,6 @@ func (db *DB) putChain(ctx context.Context, bucket uint64, idxs []int, pairs []P
 	db.entries.Add(uint64(createdCount))
 	db.overflowPages.Add(uint64(newPages))
 	return writes, stale, nil
-}
-
-// chainUpdate overwrites fp's entry in the in-memory chain, reporting
-// whether it was present.
-func chainUpdate(chain []chainPage, fp fingerprint.Fingerprint, val Value) bool {
-	for i := range chain {
-		n := pageCount(chain[i].buf)
-		for j := 0; j < n; j++ {
-			efp, _ := entryAt(chain[i].buf, j)
-			if efp == fp {
-				setEntryAt(chain[i].buf, j, fp, val)
-				chain[i].dirty = true
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // PutBatch stores every pair. The in-RAM store has no pages to coalesce —

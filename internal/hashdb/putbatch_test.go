@@ -76,24 +76,117 @@ func TestPutBatchBasic(t *testing.T) {
 }
 
 func TestPutBatchDuplicateInBatch(t *testing.T) {
-	db := testDB(t, Options{ExpectedItems: 100})
-	pairs := []Pair{
-		{FP: fp(7), Val: 1},
-		{FP: fp(8), Val: 2},
-		{FP: fp(7), Val: 3}, // same fingerprint again: an update, last value wins
+	// A fresh fingerprint appearing twice in one batch: the first copy is
+	// appended, the second must find that appended slot and update it
+	// (last value wins, created=false), wherever the append landed.
+	cases := []struct {
+		name    string
+		preload int // fp(0..preload-1) stored before the batch
+		pages   int // pagesWritten by the batch
+	}{
+		// Both copies on the (empty) bucket page.
+		{"bucket page", 0, 1},
+		// The chain is full: the first copy lands on a newly appended
+		// overflow page and the later copy updates it there.
+		{"new overflow page", SlotsPerPage, 2},
+		// The first copy takes the bucket page's last free slot, the
+		// other fresh fingerprint spills to a new overflow page, and the
+		// later copy updates the bucket page.
+		{"last free slot", SlotsPerPage - 1, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := testDB(t, Options{Buckets: 1})
+			for i := 0; i < tc.preload; i++ {
+				if _, err := db.Put(fp(uint64(i)), Value(i+1)); err != nil {
+					t.Fatalf("Put: %v", err)
+				}
+			}
+			a, b := fp(1<<20), fp(1<<20+1)
+			pairs := []Pair{
+				{FP: a, Val: 1},
+				{FP: b, Val: 2},
+				{FP: a, Val: 3}, // same fingerprint again: an update, last value wins
+			}
+			created, pages, err := db.PutBatch(context.Background(), pairs)
+			if err != nil {
+				t.Fatalf("PutBatch: %v", err)
+			}
+			if !created[0] || !created[1] || created[2] {
+				t.Fatalf("created = %v, want [true true false]", created)
+			}
+			if v, ok, _ := db.Get(a); !ok || v != 3 {
+				t.Fatalf("Get(dup) = (%v,%v), want (3,true)", v, ok)
+			}
+			if v, ok, _ := db.Get(b); !ok || v != 2 {
+				t.Fatalf("Get(other) = (%v,%v), want (2,true)", v, ok)
+			}
+			if want := tc.preload + 2; db.Len() != want {
+				t.Fatalf("Len = %d, want %d", db.Len(), want)
+			}
+			if pages != tc.pages {
+				t.Fatalf("pagesWritten = %d, want %d", pages, tc.pages)
+			}
+		})
+	}
+}
+
+// TestPrefixCollision pins that chain scans confirm a prefix-key match
+// against all 20 bytes: fingerprints with identical first 8 bytes share a
+// bucket and a scan key, yet stay distinct entries for every operation.
+func TestPrefixCollision(t *testing.T) {
+	db := testDB(t, Options{ExpectedItems: 1000})
+	fps := make([]fingerprint.Fingerprint, 4)
+	pairs := make([]Pair, len(fps))
+	for i := range fps {
+		fps[i] = fp(1)
+		fps[i][8+3*i] ^= 0x5a // differ only within bytes 8..19
+		pairs[i] = Pair{FP: fps[i], Val: Value(10 + i)}
+		if fps[i].Prefix64() != fps[0].Prefix64() || (i > 0 && fps[i] == fps[0]) {
+			t.Fatalf("fps[%d] is not a distinct prefix twin of fps[0]", i)
+		}
 	}
 	created, _, err := db.PutBatch(context.Background(), pairs)
 	if err != nil {
 		t.Fatalf("PutBatch: %v", err)
 	}
-	if !created[0] || !created[1] || created[2] {
-		t.Fatalf("created = %v, want [true true false]", created)
+	for i, c := range created {
+		if !c {
+			t.Fatalf("created[%d] = false for a distinct fingerprint", i)
+		}
 	}
-	if v, ok, _ := db.Get(fp(7)); !ok || v != 3 {
-		t.Fatalf("Get(dup) = (%v,%v), want (3,true)", v, ok)
+	if db.Len() != len(fps) {
+		t.Fatalf("Len = %d, want %d", db.Len(), len(fps))
 	}
-	if db.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", db.Len())
+	check := func(want map[int]Value) {
+		t.Helper()
+		vals, found, err := db.GetBatch(context.Background(), fps)
+		if err != nil {
+			t.Fatalf("GetBatch: %v", err)
+		}
+		for i := range fps {
+			wv, wok := want[i]
+			if v, ok, err := db.Get(fps[i]); err != nil || ok != wok || v != wv {
+				t.Fatalf("Get(fps[%d]) = (%v,%v,%v), want (%v,%v,nil)", i, v, ok, err, wv, wok)
+			}
+			if found[i] != wok || vals[i] != wv {
+				t.Fatalf("GetBatch[%d] = (%v,%v), want (%v,%v)", i, vals[i], found[i], wv, wok)
+			}
+		}
+	}
+	check(map[int]Value{0: 10, 1: 11, 2: 12, 3: 13})
+
+	if created, err := db.Put(fps[1], 99); err != nil || created {
+		t.Fatalf("Put(update) = (%v,%v), want (false,nil)", created, err)
+	}
+	check(map[int]Value{0: 10, 1: 99, 2: 12, 3: 13})
+
+	if ok, err := db.Delete(fps[2]); err != nil || !ok {
+		t.Fatalf("Delete = (%v,%v), want (true,nil)", ok, err)
+	}
+	check(map[int]Value{0: 10, 1: 99, 3: 13})
+	if db.Len() != len(fps)-1 {
+		t.Fatalf("Len after Delete = %d, want %d", db.Len(), len(fps)-1)
 	}
 }
 
